@@ -133,8 +133,8 @@ pub const NO_CHURN: &str = "none";
 /// One engine's aggregate measurement over a case's source sample.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct EngineStats {
-    /// Engine name: `"frontier"`, `"fast"`, `"sharded"`, `"dynamic"`, or
-    /// `"bitlane"`.
+    /// Engine name ([`FloodEngine::family`]): `"auto"`, `"frontier"`,
+    /// `"fast"`, `"sharded"`, `"dynamic"`, or `"bitlane"`.
     pub engine: String,
     /// The canonical engine string that reproduces this row through any
     /// entry point (`--engine`, the wire protocol, [`FloodRequest`]):
@@ -159,7 +159,8 @@ pub struct EngineStats {
     /// engines, the case's churn spec for the `dynamic` row.
     pub churn: String,
     /// Floods advanced per simulator pass: `min(64, floods)` on the
-    /// bit-parallel `bitlane` row, 1 on every other engine.
+    /// bit-parallel `bitlane` row, 1 on every other engine (an `auto` row
+    /// does not record whether its batch packed).
     pub lanes: usize,
     /// Termination round of each measured flood, in source-set order.
     /// For a churned flood that capped out (termination is not a theorem
@@ -476,23 +477,8 @@ pub fn measure_request(
 }
 
 fn measure_batch(g: &Graph, source_sets: &[Vec<usize>], engine: FloodEngine) -> EngineStats {
-    let (name, threads, threads_requested, partitioner, churn) = match engine {
-        FloodEngine::Frontier => (
-            "frontier",
-            1,
-            1,
-            NO_PARTITIONER.to_string(),
-            NO_CHURN.to_string(),
-        ),
-        FloodEngine::Fast => (
-            "fast",
-            1,
-            1,
-            NO_PARTITIONER.to_string(),
-            NO_CHURN.to_string(),
-        ),
+    let (threads, threads_requested, partitioner, churn) = match engine {
         FloodEngine::Sharded { threads, strategy } => (
-            "sharded",
             // Record the shard count that actually runs, not the request
             // (Partition::new clamps into 1 ..= min(n, MAX_SHARDS)) —
             // alongside the request itself, so clamped rows are visible.
@@ -501,20 +487,8 @@ fn measure_batch(g: &Graph, source_sets: &[Vec<usize>], engine: FloodEngine) -> 
             strategy.name().to_string(),
             NO_CHURN.to_string(),
         ),
-        FloodEngine::Dynamic { churn } => (
-            "dynamic",
-            1,
-            1,
-            NO_PARTITIONER.to_string(),
-            churn.to_string(),
-        ),
-        FloodEngine::BitLane => (
-            "bitlane",
-            1,
-            1,
-            NO_PARTITIONER.to_string(),
-            NO_CHURN.to_string(),
-        ),
+        FloodEngine::Dynamic { churn } => (1, 1, NO_PARTITIONER.to_string(), churn.to_string()),
+        _ => (1, 1, NO_PARTITIONER.to_string(), NO_CHURN.to_string()),
     };
     let lanes = match engine {
         FloodEngine::BitLane => LANES.min(source_sets.len()).max(1),
@@ -549,7 +523,7 @@ fn measure_batch(g: &Graph, source_sets: &[Vec<usize>], engine: FloodEngine) -> 
     let terminated = response.floods.iter().filter(|f| f.terminated).count();
     let messages = response.floods.iter().map(|f| f.messages).sum();
     EngineStats {
-        engine: name.to_string(),
+        engine: engine.family().to_string(),
         engine_spec: request.engine,
         threads,
         threads_requested,

@@ -150,6 +150,15 @@ fn strong_scaling_workloads() -> Vec<(&'static str, Graph, Vec<NodeId>)> {
         .collect()
 }
 
+/// Formats a positive ratio to three significant figures, so a slow
+/// point such as `0.00420` keeps its digits instead of rounding to
+/// `0.00`.
+fn three_significant_figures(x: f64) -> String {
+    let magnitude = if x > 0.0 { x.log10().floor() } else { 0.0 };
+    let decimals = (2.0 - magnitude).max(0.0) as usize;
+    format!("{x:.decimals$}")
+}
+
 /// The thread counts the strong-scaling column sweeps.
 pub const STRONG_SCALING_THREADS: [usize; 4] = [1, 2, 4, 8];
 
@@ -198,7 +207,7 @@ pub fn strong_scaling() -> Table {
                 threads.to_string(),
                 strategy.name().to_string(),
                 format!("{wall_ms:.2}"),
-                format!("{speedup:.2}x"),
+                format!("{}x", three_significant_figures(speedup)),
                 "yes".to_string(),
             ]);
         }
@@ -253,6 +262,15 @@ mod tests {
         assert!(t.rows().len() >= 50);
         assert!(t.rows().iter().any(|r| r[3] == "yes"));
         assert!(t.rows().iter().any(|r| r[3] == "no"));
+    }
+
+    #[test]
+    fn speedups_keep_three_significant_figures() {
+        assert_eq!(three_significant_figures(1.0), "1.00");
+        assert_eq!(three_significant_figures(0.0042), "0.00420");
+        assert_eq!(three_significant_figures(0.024_96), "0.0250");
+        assert_eq!(three_significant_figures(12.345), "12.3");
+        assert_eq!(three_significant_figures(345.6), "346");
     }
 
     #[test]

@@ -106,6 +106,27 @@ impl Args {
             .map_err(|_| ArgError(format!("invalid value for --{name}: {v}")))
     }
 
+    /// Rejects every option whose name is not in `known`, and every
+    /// positional argument, so a typo is an error instead of a silently
+    /// ignored flag.
+    ///
+    /// # Errors
+    ///
+    /// Names the first unknown option or positional argument.
+    pub fn only_options(&self, known: &[&str]) -> Result<(), ArgError> {
+        if let Some(name) = self
+            .options
+            .keys()
+            .find(|name| !known.contains(&name.as_str()))
+        {
+            return Err(ArgError(format!("unknown option --{name}")));
+        }
+        match self.positionals.first() {
+            Some(extra) => Err(ArgError(format!("unexpected argument '{extra}'"))),
+            None => Ok(()),
+        }
+    }
+
     /// A comma-separated list option (`--sources 0,3,5`).
     ///
     /// # Errors
@@ -165,6 +186,19 @@ mod tests {
         assert_eq!(a.list::<usize>("absent").unwrap(), None);
         let bad = Args::parse(["--sources", "0,x"]).unwrap();
         assert!(bad.list::<usize>("sources").is_err());
+    }
+
+    #[test]
+    fn only_options_names_the_first_unknown_argument() {
+        let a = Args::parse(["--full", "--out", "x.json"]).unwrap();
+        assert!(a.only_options(&["full", "out"]).is_ok());
+        let err = a.only_options(&["full"]).unwrap_err();
+        assert_eq!(err.0, "unknown option --out");
+        let err = Args::parse(["extra"])
+            .unwrap()
+            .only_options(&[])
+            .unwrap_err();
+        assert_eq!(err.0, "unexpected argument 'extra'");
     }
 
     #[test]

@@ -38,7 +38,7 @@ pub fn parse_graph(text: &str) -> Result<Graph, af_graph::GraphError> {
 }
 
 /// Parses the shared engine-selection options: `--engine <spec>` (any
-/// canonical [`FloodEngine`] string — `frontier`, `fast`,
+/// canonical [`FloodEngine`] string — `auto`, `frontier`, `fast`,
 /// `sharded[:k[:partitioner]]`, `dynamic[:churn]`, `bitlane` — exactly
 /// what the bench JSON's `engine_spec` column and the wire protocol's
 /// `engine` field accept), plus the legacy flag spellings `--threads N`,
@@ -105,7 +105,7 @@ fn source_set(args: &Args, graph: &Graph) -> Result<Vec<NodeId>, CommandError> {
 /// [--churn kind:rate_pm:seed] [--trace] [--trace-out FILE.jsonl]
 /// [--receipts]`
 ///
-/// `--engine` takes any canonical engine spec (`frontier`, `fast`,
+/// `--engine` takes any canonical engine spec (`auto`, `frontier`, `fast`,
 /// `sharded[:k[:partitioner]]`, `dynamic[:churn]`, `bitlane`) — the same
 /// strings the bench JSON records as `engine_spec` and the daemon accepts
 /// on the wire, so a benchmark row replays verbatim.
@@ -172,7 +172,8 @@ pub fn cmd_flood(args: &Args) -> Result<String, CommandError> {
             FloodEngine::Fast => {
                 let _ = writeln!(out, "engine: fast (scan-all-arcs baseline)");
             }
-            FloodEngine::Frontier => {}
+            // A single flood runs on frontier under auto too.
+            FloodEngine::Auto | FloodEngine::Frontier => {}
         }
         match run.termination_round() {
             Some(t) => {
@@ -543,6 +544,20 @@ pub fn cmd_gen(args: &Args) -> Result<String, CommandError> {
     })
 }
 
+/// Usage text of `amnesiac bench`, printed by `amnesiac bench --help`.
+const BENCH_USAGE: &str = "usage: amnesiac bench [--full] [--out <path>] [--threads N]
+                       [--partitioner contiguous|round-robin|bfs]
+                       [--sources K] [--churn kind:rate_pm:seed]
+
+flooding throughput benchmark: frontier engine vs scan baseline vs sharded
+multicore engine vs dynamic-graph engine vs 64-lane bit-parallel engine.
+The default is the smoke grid; --full runs the BENCH_flooding.json grid
+(~1e4..1e6 edges per family).
+";
+
+/// The options `amnesiac bench` accepts.
+const BENCH_OPTIONS: &[&str] = &["full", "out", "threads", "partitioner", "sources", "churn"];
+
 /// `amnesiac bench [--full] [--threads N]
 /// [--partitioner contiguous|round-robin|bfs] [--sources K]
 /// [--churn kind:rate_pm:seed] [--out <path>]` — the flooding throughput
@@ -554,13 +569,17 @@ pub fn cmd_gen(args: &Args) -> Result<String, CommandError> {
 /// (default bfs) configure the sharded engine's concurrency axis;
 /// `--sources` (default 1) sets the size of every measured flood's source
 /// set; `--churn` (default none) sets the churn spec the dynamic engine
-/// row floods under.
+/// row floods under. `--help` prints the usage and runs nothing.
 ///
 /// # Errors
 ///
-/// Returns I/O errors from `--out`, bad `--sources`/`--churn` values, or
-/// an error if the engines disagree.
+/// Returns unknown options or arguments, I/O errors from `--out`, bad
+/// `--sources`/`--churn` values, or an error if the engines disagree.
 pub fn cmd_bench(args: &Args) -> Result<String, CommandError> {
+    if args.flag("help") {
+        return Ok(BENCH_USAGE.to_string());
+    }
+    args.only_options(BENCH_OPTIONS)?;
     let smoke = !args.flag("full");
     let threads: usize = args.parsed_or("threads", 4)?;
     let strategy: PartitionStrategy = args.parsed_or("partitioner", PartitionStrategy::Bfs)?;
@@ -590,7 +609,7 @@ commands:
   flood <file>    run a flood          [--source N | --sources a,b,c]
                                        [--max-rounds N] [--trace] [--receipts]
                                        [--trace-out FILE.jsonl]
-                                       [--engine frontier|fast|
+                                       [--engine auto|frontier|fast|
                                         sharded[:k[:partitioner]]|
                                         dynamic[:churn]|bitlane]
                                        [--threads N]
@@ -1061,6 +1080,24 @@ mod tests {
         // A malformed churn spec too.
         let args = Args::parse(["--churn", "warp:5:1"]).unwrap();
         assert!(cmd_bench(&args).is_err());
+    }
+
+    #[test]
+    fn bench_help_prints_usage_and_unknown_flags_are_errors() {
+        // `--help` answers at once with the usage: no case runs, so no
+        // "bench:" progress line and no summary table.
+        let text = cmd_bench(&Args::parse(["--help"]).unwrap()).unwrap();
+        assert!(text.starts_with("usage: amnesiac bench"), "{text}");
+        assert!(!text.contains("engines agree"), "{text}");
+        // Unknown flags and stray arguments are argument errors, caught
+        // before anything runs.
+        for raw in [&["--smoke"][..], &["--full", "--thread", "2"], &["full"]] {
+            let err = cmd_bench(&Args::parse(raw.iter().copied()).unwrap()).unwrap_err();
+            assert!(
+                err.downcast_ref::<crate::args::ArgError>().is_some(),
+                "{raw:?}: {err}"
+            );
+        }
     }
 
     #[test]

@@ -90,7 +90,7 @@ pub struct FloodRequest {
     /// One flood per set; each set lists base-graph node ids.
     pub source_sets: Vec<Vec<usize>>,
     /// Canonical engine string (see [`FloodEngine`]); empty means the
-    /// default engine.
+    /// default engine, `auto`.
     pub engine: String,
     /// Per-flood round cap; `0` means the default `2n + 2`.
     pub max_rounds: u32,
@@ -232,7 +232,7 @@ mod tests {
         let base = FloodRequest::new(sets.clone(), FloodEngine::Frontier)
             .execute(&g)
             .unwrap();
-        for engine in ["fast", "sharded:3:bfs", "dynamic:none", "bitlane"] {
+        for engine in ["auto", "fast", "sharded:3:bfs", "dynamic:none", "bitlane"] {
             let mut req = FloodRequest::new(sets.clone(), FloodEngine::Frontier);
             req.engine = engine.to_owned();
             let resp = req.execute(&g).unwrap();
@@ -245,9 +245,9 @@ mod tests {
     fn empty_engine_string_means_default() {
         let g = generators::cycle(5);
         let req = FloodRequest::single(vec![0]);
-        assert_eq!(req.parse_engine(), Ok(FloodEngine::Frontier));
+        assert_eq!(req.parse_engine(), Ok(FloodEngine::Auto));
         let resp = req.execute(&g).unwrap();
-        assert_eq!(resp.engine, "frontier");
+        assert_eq!(resp.engine, "auto");
     }
 
     #[test]

@@ -107,18 +107,16 @@ pub struct BitLaneFlooding<'g> {
     active_listed: bool,
     /// Scratch list for the next generation.
     next: Vec<(ArcId, u64)>,
-    /// Scratch word array for dense rounds: the next generation is built
-    /// here by a sequential edge-pair sweep, then pointer-swapped with
-    /// `cur`. Contents between dense rounds are stale and never read —
-    /// every slot is overwritten before the next swap.
-    next_words: Vec<u64>,
+    /// Whether `active` and `next` have traded buffers an odd number of
+    /// times since the last reset. [`BitLaneFlooding::reset`] trades them
+    /// back, so every run starts on the same buffer in the same role and
+    /// a repeated batch finds each one already grown to what it needs.
+    swapped: bool,
     /// Per-node lane mask accumulated during delivery; all-zero between
     /// rounds (doubles as the dedup flag for `receivers`).
     recv: Vec<u64>,
     /// Nodes that received (in any lane) in the round being executed.
     receivers: Vec<NodeId>,
-    /// Precomputed arc heads, so delivery is one array read per arc.
-    heads: Vec<NodeId>,
     lane_count: usize,
     /// Lanes with at least one active arc.
     live: u64,
@@ -135,7 +133,9 @@ pub struct BitLaneFlooding<'g> {
     messages_per_round: Vec<u64>,
     record_receipts: bool,
     /// Per-node `(round, lane mask)` receipt pairs: node received in round
-    /// `r` in exactly the lanes of the mask.
+    /// `r` in exactly the lanes of the mask. Empty until the first
+    /// recorded receipt, so a simulator with receipts off never pays for
+    /// the per-node table.
     receipts: Vec<Vec<(u32, u64)>>,
     /// Nodes with non-empty `receipts`, for sparse reset.
     informed: Vec<NodeId>,
@@ -161,9 +161,6 @@ impl<'g> BitLaneFlooding<'g> {
         I::Item: IntoIterator<Item = NodeId>,
     {
         let n = graph.node_count();
-        let heads = (0..graph.arc_count())
-            .map(|i| graph.arc_head(ArcId::from_index(i)))
-            .collect();
         let mut sim = BitLaneFlooding {
             graph,
             cur: vec![0; graph.arc_count()],
@@ -171,10 +168,9 @@ impl<'g> BitLaneFlooding<'g> {
             active_count: 0,
             active_listed: true,
             next: Vec::new(),
-            next_words: vec![0; graph.arc_count()],
+            swapped: false,
             recv: vec![0; n],
             receivers: Vec::new(),
-            heads,
             lane_count: 0,
             live: 0,
             round: 0,
@@ -183,7 +179,7 @@ impl<'g> BitLaneFlooding<'g> {
             total_messages: 0,
             messages_per_round: Vec::new(),
             record_receipts: true,
-            receipts: vec![Vec::new(); n],
+            receipts: Vec::new(),
             informed: Vec::new(),
             probe: None,
         };
@@ -213,6 +209,10 @@ impl<'g> BitLaneFlooding<'g> {
             // touched (and the next one would overwrite) the whole
             // array, so clear it wholesale.
             self.cur.fill(0);
+        }
+        if self.swapped {
+            core::mem::swap(&mut self.active, &mut self.next);
+            self.swapped = false;
         }
         self.active.clear();
         self.active_listed = true;
@@ -407,7 +407,8 @@ impl<'g> BitLaneFlooding<'g> {
     /// Panics if `v` is out of range.
     #[must_use]
     pub fn receipt_masks(&self, v: NodeId) -> &[(u32, u64)] {
-        &self.receipts[v.index()]
+        assert!(v.index() < self.graph.node_count(), "node {v} out of range");
+        self.receipts.get(v.index()).map_or(&[], Vec::as_slice)
     }
 
     /// Rounds at which `v` received lane `lane`'s message, in increasing
@@ -419,7 +420,7 @@ impl<'g> BitLaneFlooding<'g> {
     #[must_use]
     pub fn lane_receipts(&self, v: NodeId, lane: usize) -> Vec<u32> {
         assert!(lane < self.lane_count, "lane {lane} not seeded");
-        self.receipts[v.index()]
+        self.receipt_masks(v)
             .iter()
             .filter(|&&(_, mask)| mask >> lane & 1 == 1)
             .map(|&(r, _)| r)
@@ -494,7 +495,7 @@ impl<'g> BitLaneFlooding<'g> {
         let mut delivered = 0u64;
         for i in 0..self.active.len() {
             let (a, w) = self.active[i];
-            let head = self.heads[a.index()];
+            let head = self.graph.arc_head(a);
             if self.recv[head.index()] == 0 {
                 self.receivers.push(head);
             }
@@ -509,6 +510,7 @@ impl<'g> BitLaneFlooding<'g> {
         // receivers emit distinct out-arcs, so `next` needs no dedup.
         self.next.clear();
         let mut live_next = 0u64;
+        self.reserve_receipts();
         for i in 0..self.receivers.len() {
             let v = self.receivers[i];
             let mask = self.recv[v.index()];
@@ -536,6 +538,7 @@ impl<'g> BitLaneFlooding<'g> {
             self.cur[a.index()] = w;
         }
         core::mem::swap(&mut self.active, &mut self.next);
+        self.swapped = !self.swapped;
         self.active_count = self.active.len();
         for &v in &self.receivers {
             self.recv[v.index()] = 0;
@@ -563,26 +566,33 @@ impl<'g> BitLaneFlooding<'g> {
     /// receipts, counters) is identical to what [`Self::step_sparse`]
     /// would have produced — only the memory access order differs.
     fn step_dense(&mut self, round: u32) -> u64 {
+        // Arc `2e` runs edge `e` forward (`u → v`) and its reverse
+        // `2e + 1` runs it backward ([`ArcId::reversed`] is `index ^ 1`),
+        // so one sequential walk of the edge list alongside the word
+        // pairs gives every arc's head without a per-arc table.
+        let graph = self.graph;
+
         // Delivery: a single sequential sweep over every arc word.
         self.receivers.clear();
         let mut delivered = 0u64;
-        for idx in 0..self.cur.len() {
-            let w = self.cur[idx];
-            if w == 0 {
-                continue;
+        for (pair, (u, v)) in self.cur.chunks_exact(2).zip(graph.edge_list()) {
+            for (w, head) in [(pair[0], v), (pair[1], u)] {
+                if w == 0 {
+                    continue;
+                }
+                if self.recv[head.index()] == 0 {
+                    self.receivers.push(head);
+                }
+                self.recv[head.index()] |= w;
+                delivered += u64::from(w.count_ones());
+                Self::add_message_word(&mut self.message_planes, w);
             }
-            let head = self.heads[idx];
-            if self.recv[head.index()] == 0 {
-                self.receivers.push(head);
-            }
-            self.recv[head.index()] |= w;
-            delivered += u64::from(w.count_ones());
-            Self::add_message_word(&mut self.message_planes, w);
         }
         self.total_messages += delivered;
         self.messages_per_round.push(delivered);
 
         if self.record_receipts {
+            self.reserve_receipts();
             for i in 0..self.receivers.len() {
                 let v = self.receivers[i];
                 if self.receipts[v.index()].is_empty() {
@@ -593,31 +603,27 @@ impl<'g> BitLaneFlooding<'g> {
             }
         }
 
-        // Emission: the rule per edge pair. Arc `2e` and its reverse
-        // `2e + 1` are adjacent words ([`ArcId::reversed`] is `index ^ 1`)
-        // and the head of one is the tail of the other, so
-        // `next[v→w] = recv[v] & !cur[w→v]` reads `cur`/`heads`
-        // sequentially and writes `next_words` sequentially; only the
-        // `recv` lookups (a node-indexed array, not the big arc array)
-        // are scattered. Nodes that received nothing have `recv == 0`
-        // and emit nothing, so sweeping every edge is the same rule.
-        // The sparse list is *not* materialized — a dense successor
-        // round never reads it, so only the count is kept (`relist_active`
-        // rebuilds the list if a sparse round follows).
+        // Emission, in place, one edge pair at a time:
+        // `next[u→v] = recv[u] & !cur[v→u]` and its mirror read only the
+        // pair's own two words and `recv` (fixed for the whole sweep), so
+        // overwriting the pair right after reading it is the same rule —
+        // no second word array. Only the `recv` lookups (a node-indexed
+        // array, not the big arc array) are scattered. Nodes that received
+        // nothing have `recv == 0` and emit nothing, so sweeping every
+        // edge is the same rule. The sparse list is *not* materialized —
+        // a dense successor round never reads it, so only the count is
+        // kept (`relist_active` rebuilds the list if a sparse round
+        // follows).
         let mut live_next = 0u64;
         let mut count = 0usize;
-        for e in 0..self.cur.len() / 2 {
-            let a = 2 * e;
-            let forward = self.cur[a];
-            let backward = self.cur[a + 1];
-            let next_forward = self.recv[self.heads[a + 1].index()] & !backward;
-            let next_backward = self.recv[self.heads[a].index()] & !forward;
-            self.next_words[a] = next_forward;
-            self.next_words[a + 1] = next_backward;
+        for (pair, (u, v)) in self.cur.chunks_exact_mut(2).zip(graph.edge_list()) {
+            let next_forward = self.recv[u.index()] & !pair[1];
+            let next_backward = self.recv[v.index()] & !pair[0];
+            pair[0] = next_forward;
+            pair[1] = next_backward;
             live_next |= next_forward | next_backward;
             count += usize::from(next_forward != 0) + usize::from(next_backward != 0);
         }
-        core::mem::swap(&mut self.cur, &mut self.next_words);
         self.active.clear();
         self.active_listed = false;
         self.active_count = count;
@@ -625,6 +631,13 @@ impl<'g> BitLaneFlooding<'g> {
             self.recv[v.index()] = 0;
         }
         live_next
+    }
+
+    /// Sizes the per-node receipt table on the first recorded receipt.
+    fn reserve_receipts(&mut self) {
+        if self.record_receipts && self.receipts.is_empty() {
+            self.receipts.resize_with(self.graph.node_count(), Vec::new);
+        }
     }
 
     /// Runs until every lane terminates or `max_rounds`; the returned

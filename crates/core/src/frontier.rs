@@ -73,6 +73,8 @@ pub struct FrontierFlooding<'g> {
     total_messages: u64,
     messages_per_round: Vec<u64>,
     record_receipts: bool,
+    /// Per-node receive rounds. Empty until the first recorded receipt,
+    /// so a simulator with receipts off never pays for the per-node table.
     receipts: Vec<Vec<u32>>,
     /// Nodes with non-empty `receipts`, so [`FrontierFlooding::reset`] can
     /// clear them without an `O(n)` sweep.
@@ -105,7 +107,7 @@ impl<'g> FrontierFlooding<'g> {
             total_messages: 0,
             messages_per_round: Vec::new(),
             record_receipts: true,
-            receipts: vec![Vec::new(); n],
+            receipts: Vec::new(),
             informed: Vec::new(),
             probe: None,
         };
@@ -148,6 +150,12 @@ impl<'g> FrontierFlooding<'g> {
     {
         for &a in &self.active_list {
             self.active.remove(a);
+        }
+        // Every round trades the two lists' buffers; trade them back after
+        // an odd count, so every flood starts on the same buffer in the
+        // same role and a repeated flood finds each one already grown.
+        if self.round % 2 == 1 {
+            core::mem::swap(&mut self.active_list, &mut self.next_list);
         }
         self.active_list.clear();
         self.next_list.clear();
@@ -255,7 +263,8 @@ impl<'g> FrontierFlooding<'g> {
     /// Panics if `v` is out of range.
     #[must_use]
     pub fn receipts(&self, v: NodeId) -> &[u32] {
-        &self.receipts[v.index()]
+        assert!(v.index() < self.graph.node_count(), "node {v} out of range");
+        self.receipts.get(v.index()).map_or(&[], Vec::as_slice)
     }
 
     /// Number of nodes that have received the message at least once, when
@@ -294,6 +303,10 @@ impl<'g> FrontierFlooding<'g> {
         // Distinct receivers emit distinct out-arcs, so `next_list` needs
         // no dedup.
         self.next_list.clear();
+        if self.record_receipts && self.receipts.is_empty() {
+            // First recorded receipt: size the per-node table.
+            self.receipts.resize_with(self.graph.node_count(), Vec::new);
+        }
         for i in 0..self.receivers.len() {
             let v = self.receivers[i];
             if self.record_receipts {

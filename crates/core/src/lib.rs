@@ -35,7 +35,9 @@
 //!   [`FloodingRun`] with the paper's round-sets `R_i`, per-node receive
 //!   rounds, termination round and message counts;
 //! * [`FloodBatch`] — the batched runner: floods a graph from many source
-//!   sets while reusing one simulator's allocations;
+//!   sets while reusing one simulator's allocations; its default
+//!   [`FloodEngine::Auto`] packs a batch into bit lanes when its first
+//!   flood shows the wavefronts will share arcs;
 //! * [`theory`] — the exact-time oracle via the bipartite double cover,
 //!   the paper's single-source bounds (`e(v)`, `D`, `2D + 1`), and the
 //!   multi-source exact times the paper poses as the next step

@@ -4,11 +4,13 @@
 //! runner that floods one graph from many sources while reusing a single
 //! simulator's allocations.
 //!
-//! Both drivers default to the frontier-sparse [`FrontierFlooding`] engine
-//! and can be switched to the multicore [`crate::ShardedFlooding`] backend
-//! through [`FloodEngine`] — the two produce bit-identical records.
+//! Both drivers default to [`FloodEngine::Auto`]: single floods run on the
+//! frontier-sparse [`FrontierFlooding`] engine, and a batch packs its
+//! floods into the bit lanes of [`BitLaneFlooding`] when their wavefronts
+//! overlap enough to share arcs. Every engine can be chosen explicitly
+//! through [`FloodEngine`]; the static ones produce bit-identical records.
 
-use crate::bitlane::BitLaneFlooding;
+use crate::bitlane::{BitLaneFlooding, LANES};
 use crate::dynamic::DynamicFlooding;
 use crate::fast::FastFlooding;
 use crate::flooder::Flooder;
@@ -24,6 +26,21 @@ use std::str::FromStr;
 /// Thread count [`FloodEngine::from_str`] assumes for a bare `"sharded"`
 /// (no `:k`) — the same default the CLI's `--threads` flag documents.
 pub const DEFAULT_SHARD_THREADS: usize = 4;
+
+/// An [`FloodEngine::Auto`] batch packs its floods into bit lanes when
+/// their expected arc occupancy reaches `1 / PACK_OCCUPANCY_DIVISOR`.
+///
+/// A flood that took `T` rounds and `M` messages fills `M / (2m · T)` of
+/// the `2m` arcs in an average round, so `L` such floods fill about
+/// `ρ = L · M / (2m · T)`. Packing pays for the arcs of every round once
+/// per 64-lane word instead of once per flood, at the price of word-sized
+/// state: with 64 random single sources (2-core Intel Xeon) it ran
+/// 0.19–0.76× as fast as sequential frontier floods at `ρ ≤ 0.22` (grids,
+/// a cycle) and 1.5–17× as fast at `ρ ≥ 0.60` (small world, geometric,
+/// sparse random, preferential attachment; README "When bit-packing
+/// wins" has the table). The divisor puts the switch at `ρ = ½`, inside
+/// that gap.
+const PACK_OCCUPANCY_DIVISOR: u128 = 2;
 
 /// Which simulator a driver executes floods with.
 ///
@@ -41,8 +58,17 @@ pub const DEFAULT_SHARD_THREADS: usize = 4;
 /// bit-identical to `Frontier` — the anchor the test suites pin.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FloodEngine {
-    /// Single-threaded frontier-sparse engine ([`FrontierFlooding`]).
+    /// The default: frontier for single floods, bit lanes for batches
+    /// whose wavefronts overlap. A [`FloodBatch`] of two or more source
+    /// sets runs set 0 on [`FrontierFlooding`] (its answer is part of the
+    /// result, so measuring it costs nothing extra), then packs the rest into
+    /// 64-lane [`BitLaneFlooding`] runs if set 0 terminated with an arc
+    /// occupancy of at least ½ over the next `min(64, remaining)` lanes
+    /// (see `PACK_OCCUPANCY_DIVISOR`), and floods them one by one on
+    /// frontier otherwise. Same records as `Frontier` either way.
     #[default]
+    Auto,
+    /// Single-threaded frontier-sparse engine ([`FrontierFlooding`]).
     Frontier,
     /// Scan-all-arcs baseline engine ([`FastFlooding`]): `O(m)` bitset
     /// sweep per round. Exists as the reference the sparse engines are
@@ -78,11 +104,12 @@ pub enum FloodEngine {
 
 impl FloodEngine {
     /// The engine's family name — the bare head of its canonical string
-    /// (`"frontier"`, `"fast"`, `"sharded"`, `"dynamic"`, `"bitlane"`),
-    /// without the per-variant configuration.
+    /// (`"auto"`, `"frontier"`, `"fast"`, `"sharded"`, `"dynamic"`,
+    /// `"bitlane"`), without the per-variant configuration.
     #[must_use]
     pub fn family(self) -> &'static str {
         match self {
+            FloodEngine::Auto => "auto",
             FloodEngine::Frontier => "frontier",
             FloodEngine::Fast => "fast",
             FloodEngine::Sharded { .. } => "sharded",
@@ -98,11 +125,13 @@ impl FloodEngine {
     ///
     /// `horizon` is the round cap the caller will run with; the dynamic
     /// engine generates its churn schedule out to that horizon (the other
-    /// engines ignore it).
+    /// engines ignore it). [`FloodEngine::Auto`] builds the frontier
+    /// engine it runs single floods on; [`FloodBatch`] adds the bit-lane
+    /// engine when a batch packs.
     #[must_use]
     pub fn flooder<'g>(self, graph: &'g Graph, horizon: u32) -> Box<dyn Flooder + 'g> {
         match self {
-            FloodEngine::Frontier => Box::new(FrontierFlooding::new(graph, [])),
+            FloodEngine::Auto | FloodEngine::Frontier => Box::new(FrontierFlooding::new(graph, [])),
             FloodEngine::Fast => Box::new(FastFlooding::new(graph, [])),
             FloodEngine::Sharded { threads, strategy } => Box::new(ShardedFlooding::new(
                 graph,
@@ -121,7 +150,7 @@ impl FloodEngine {
     }
 }
 
-/// The canonical engine string: `frontier`, `fast`, `bitlane`,
+/// The canonical engine string: `auto`, `frontier`, `fast`, `bitlane`,
 /// `sharded:<threads>:<partitioner>`, or `dynamic:<churn>` (with
 /// [`ChurnSpec`]'s own `kind:rate_pm:seed` / `none` syntax). This is the
 /// **one** spelling shared by `--engine`, the benchmark JSON's
@@ -130,6 +159,7 @@ impl FloodEngine {
 impl fmt::Display for FloodEngine {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
+            FloodEngine::Auto => f.write_str("auto"),
             FloodEngine::Frontier => f.write_str("frontier"),
             FloodEngine::Fast => f.write_str("fast"),
             FloodEngine::BitLane => f.write_str("bitlane"),
@@ -166,10 +196,11 @@ impl FromStr for FloodEngine {
             None => (s, None),
         };
         match (head, config) {
+            ("auto", None) => Ok(FloodEngine::Auto),
             ("frontier", None) => Ok(FloodEngine::Frontier),
             ("fast", None) => Ok(FloodEngine::Fast),
             ("bitlane", None) => Ok(FloodEngine::BitLane),
-            ("frontier" | "fast" | "bitlane", Some(_)) => Err(ParseEngineError(format!(
+            ("auto" | "frontier" | "fast" | "bitlane", Some(_)) => Err(ParseEngineError(format!(
                 "engine '{head}' takes no ':' parameters (got '{s}')"
             ))),
             ("sharded", config) => {
@@ -209,7 +240,7 @@ impl FromStr for FloodEngine {
                 Ok(FloodEngine::Dynamic { churn })
             }
             _ => Err(ParseEngineError(format!(
-                "unknown engine '{s}' (use frontier, fast, sharded[:k[:partitioner]], \
+                "unknown engine '{s}' (use auto, frontier, fast, sharded[:k[:partitioner]], \
                  dynamic[:churn], or bitlane)"
             ))),
         }
@@ -587,12 +618,13 @@ impl FloodStats {
 }
 
 /// Batched multi-source flood runner: executes many floods on one graph
-/// through a single reusable simulator ([`FrontierFlooding`] by default,
-/// [`crate::ShardedFlooding`] or the bit-parallel [`BitLaneFlooding`] via
-/// [`FloodBatch::with_engine`]), so per-flood cost is the intrinsic
-/// `O(messages)` work with **no per-source allocation**. On the bitlane
-/// engine, [`FloodBatch::run_many`] additionally advances up to 64 floods
-/// per simulator pass.
+/// through reusable simulators, so per-flood cost is the intrinsic
+/// `O(messages)` work with **no per-source allocation**. The default
+/// [`FloodEngine::Auto`] runs single floods on [`FrontierFlooding`] and
+/// lets [`FloodBatch::run_many`] pack a batch whose wavefronts overlap
+/// into 64-lane [`BitLaneFlooding`] passes; [`FloodBatch::with_engine`]
+/// pins any one engine instead (on the bitlane engine, `run_many` packs
+/// every batch).
 ///
 /// Receipt recording is off (the batch reports [`FloodStats`], not full
 /// schedules), which is what makes [`FrontierFlooding::reset`] constant
@@ -626,14 +658,22 @@ pub struct FloodBatch<'g> {
     /// the schedule to match a new cap — churn must cover every round the
     /// batch can execute.
     churn_spec: Option<ChurnSpec>,
+    /// Whether this is an [`FloodEngine::Auto`] batch (`sim` is then its
+    /// frontier engine).
+    auto: bool,
+    /// The auto batch's bit-lane engine, built on its first packed chunk
+    /// and reused after that.
+    packed: Option<BitLaneFlooding<'g>>,
+    /// The attached observer, kept to hand to `packed` when it is built.
+    probe: Option<SharedProbe>,
 }
 
 impl<'g> FloodBatch<'g> {
     /// Creates a batch runner for `graph` on the default
-    /// ([`FloodEngine::Frontier`]) engine.
+    /// ([`FloodEngine::Auto`]) engine.
     #[must_use]
     pub fn new(graph: &'g Graph) -> Self {
-        FloodBatch::with_engine(graph, FloodEngine::Frontier)
+        FloodBatch::with_engine(graph, FloodEngine::default())
     }
 
     /// Creates a batch runner on an explicit engine. The sharded backend
@@ -658,6 +698,9 @@ impl<'g> FloodBatch<'g> {
                 FloodEngine::Dynamic { churn } => Some(churn),
                 _ => None,
             },
+            auto: engine == FloodEngine::Auto,
+            packed: None,
+            probe: None,
         }
     }
 
@@ -675,6 +718,9 @@ impl<'g> FloodBatch<'g> {
             sim: Box::new(sim),
             max_rounds: None,
             churn_spec: None,
+            auto: false,
+            packed: None,
+            probe: None,
         }
     }
 
@@ -701,7 +747,11 @@ impl<'g> FloodBatch<'g> {
     /// [`FloodBatch::with_max_rounds`] can rebuild the simulator on the
     /// dynamic engine, dropping an earlier probe.
     pub fn set_probe(&mut self, probe: Option<SharedProbe>) {
-        self.sim.set_probe(probe);
+        self.sim.set_probe(probe.clone());
+        if let Some(packed) = &mut self.packed {
+            packed.set_probe(probe.clone());
+        }
+        self.probe = probe;
     }
 
     /// The graph this batch floods (for the dynamic engine: the pristine
@@ -752,41 +802,95 @@ impl<'g> FloodBatch<'g> {
     /// floods in one bit-parallel run — `chunks` leaves the final partial
     /// group exactly `len % 64` lanes wide (or a full 64 when the count
     /// divides evenly), so no lane is ever padded or dropped. Single-lane
-    /// engines flood the sets one by one via [`FloodBatch::run_from`]. A
-    /// warm batch appends into spare `out` capacity without touching the
-    /// allocator.
+    /// engines flood the sets one by one via [`FloodBatch::run_from`]. On
+    /// [`FloodEngine::Auto`], set 0 floods on frontier and decides whether
+    /// the rest pack (see the variant's docs). A warm batch appends into
+    /// spare `out` capacity without touching the allocator.
     ///
     /// # Panics
     ///
     /// Panics if a source is out of range.
     pub fn run_many_into(&mut self, source_sets: &[Vec<NodeId>], out: &mut Vec<FloodStats>) {
-        let lanes = self.sim.lane_capacity();
-        if lanes == 1 {
+        let cap = self.cap();
+        if self.auto {
+            let Some((first, rest)) = source_sets.split_first() else {
+                return;
+            };
+            let first = self.run_from(first.iter().copied());
+            out.push(first);
+            if packs(first, rest.len(), self.graph.edge_count()) {
+                let packed = self.packed.get_or_insert_with(|| {
+                    let mut sim =
+                        BitLaneFlooding::new(self.graph, core::iter::empty::<[NodeId; 0]>());
+                    sim.set_record_receipts(false);
+                    sim.set_probe(self.probe.clone());
+                    sim
+                });
+                run_lanes(packed, rest, cap, out);
+            } else {
+                for set in rest {
+                    let stats = self.run_from(set.iter().copied());
+                    out.push(stats);
+                }
+            }
+        } else if self.sim.lane_capacity() == 1 {
             for set in source_sets {
                 let stats = self.run_from(set.iter().copied());
                 out.push(stats);
             }
-            return;
-        }
-        let cap = self.cap();
-        for chunk in source_sets.chunks(lanes) {
-            self.sim.reset_lanes(chunk);
-            self.sim.run(cap);
-            for lane in 0..chunk.len() {
-                out.push(FloodStats {
-                    outcome: self.sim.lane_outcome(lane),
-                    total_messages: self.sim.lane_messages(lane),
-                });
-            }
+        } else {
+            run_lanes(&mut *self.sim, source_sets, cap, out);
         }
     }
 
     /// Runs one single-source flood from every node of the graph, in node
     /// order — `n` floods, one simulator, zero *per-flood* reallocations
-    /// (on the bitlane engine: `⌈n / 64⌉` bit-parallel runs).
+    /// (on the bitlane engine, or an auto batch that packs: `⌈n / 64⌉`
+    /// bit-parallel runs).
     pub fn run_all_single_sources(&mut self) -> Vec<FloodStats> {
         let sets: Vec<Vec<NodeId>> = self.graph().nodes().map(|s| vec![s]).collect();
         self.run_many(&sets)
+    }
+}
+
+/// Whether an [`FloodEngine::Auto`] batch packs the `remaining` sets that
+/// follow a first flood with stats `first`, on a graph of `edges` edges:
+/// the first flood terminated in `T ≥ 1` rounds with `M` messages, and the
+/// next `L = min(64, remaining)` such floods would fill at least
+/// `1 / PACK_OCCUPANCY_DIVISOR` of the `2m` arcs per round,
+/// `L · M / (2m · T) ≥ 1 / PACK_OCCUPANCY_DIVISOR`.
+fn packs(first: FloodStats, remaining: usize, edges: usize) -> bool {
+    let Outcome::Terminated {
+        last_active_round: rounds,
+    } = first.outcome
+    else {
+        return false;
+    };
+    if remaining == 0 || rounds == 0 {
+        return false;
+    }
+    let lanes = remaining.min(LANES) as u128;
+    PACK_OCCUPANCY_DIVISOR * lanes * u128::from(first.total_messages)
+        >= 2 * edges as u128 * u128::from(rounds)
+}
+
+/// Floods `source_sets` on a multi-lane engine in full-width lane groups,
+/// appending one [`FloodStats`] per set to `out`.
+fn run_lanes(
+    sim: &mut dyn Flooder,
+    source_sets: &[Vec<NodeId>],
+    cap: u32,
+    out: &mut Vec<FloodStats>,
+) {
+    for chunk in source_sets.chunks(sim.lane_capacity()) {
+        sim.reset_lanes(chunk);
+        sim.run(cap);
+        for lane in 0..chunk.len() {
+            out.push(FloodStats {
+                outcome: sim.lane_outcome(lane),
+                total_messages: sim.lane_messages(lane),
+            });
+        }
     }
 }
 
@@ -990,8 +1094,8 @@ mod tests {
     }
 
     #[test]
-    fn default_engine_is_frontier() {
-        assert_eq!(FloodEngine::default(), FloodEngine::Frontier);
+    fn default_engine_is_auto() {
+        assert_eq!(FloodEngine::default(), FloodEngine::Auto);
     }
 
     #[test]
@@ -1022,6 +1126,7 @@ mod tests {
 
     #[test]
     fn engine_display_is_canonical() {
+        assert_eq!(FloodEngine::Auto.to_string(), "auto");
         assert_eq!(FloodEngine::Frontier.to_string(), "frontier");
         assert_eq!(FloodEngine::Fast.to_string(), "fast");
         assert_eq!(FloodEngine::BitLane.to_string(), "bitlane");
@@ -1051,6 +1156,7 @@ mod tests {
 
     #[test]
     fn engine_from_str_accepts_shorthands() {
+        assert_eq!("auto".parse(), Ok(FloodEngine::Auto));
         assert_eq!("frontier".parse(), Ok(FloodEngine::Frontier));
         assert_eq!("fast".parse(), Ok(FloodEngine::Fast));
         assert_eq!("bitlane".parse(), Ok(FloodEngine::BitLane));
@@ -1095,6 +1201,7 @@ mod tests {
             "",
             "warp",
             "frontier:2",
+            "auto:64",
             "fast:1",
             "bitlane:64",
             "sharded:x",
@@ -1110,6 +1217,7 @@ mod tests {
     #[test]
     fn engine_string_roundtrip_on_named_cases() {
         let engines = [
+            FloodEngine::Auto,
             FloodEngine::Frontier,
             FloodEngine::Fast,
             FloodEngine::BitLane,

@@ -510,7 +510,7 @@ mod tests {
             panic!("expected Benched, got {back:?}");
         };
         assert_eq!(runs.len(), 1);
-        assert_eq!(runs[0].engine, "frontier");
+        assert_eq!(runs[0].engine, "auto");
         assert_eq!(runs[0].floods_terminated, 1);
     }
 }

@@ -8,17 +8,21 @@
 //! The test installs a counting `#[global_allocator]` (this file is its
 //! own test binary, so the hook is invisible to every other suite) and
 //! asserts the allocation counter does not move across the second pass.
+//! The counter is process-wide, so the tests take turns: each holds
+//! [`SERIAL`] for its whole body, and no other test thread allocates
+//! inside its measured window.
 
 use amnesiac_flooding::core::obs::{NdjsonTraceWriter, NoopProbe, SharedProbe};
 use amnesiac_flooding::core::{FloodBatch, FloodEngine, FloodStats};
-use amnesiac_flooding::graph::{generators, NodeId};
+use amnesiac_flooding::graph::{generators, Graph, NodeId};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::RefCell;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 mod common;
-use common::source_set_for;
+use common::{source_set_for, EngineStarts};
 
 /// System allocator wrapper counting every `alloc`/`realloc` call.
 struct CountingAlloc;
@@ -44,8 +48,18 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// Held by every test of this file for its whole body.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+/// Takes this file's test lock; a test that panicked while holding it
+/// has already failed, so its poison is ignored.
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 #[test]
 fn warm_flood_batch_is_allocation_free_across_mixed_set_sizes() {
+    let _serial = serial();
     let g = generators::sparse_connected(600, 900, 42);
 
     // Mixed source-set sizes off the shared ladder: sqrt(n)-sized sets
@@ -95,6 +109,7 @@ fn warm_flood_batch_is_allocation_free_across_mixed_set_sizes() {
 /// allocation-free.
 #[test]
 fn warm_flood_with_noop_probe_is_allocation_free() {
+    let _serial = serial();
     let g = generators::sparse_connected(600, 900, 42);
     let source_sets: Vec<Vec<NodeId>> = [3usize, 0, 2, 1]
         .into_iter()
@@ -128,6 +143,7 @@ fn warm_flood_with_noop_probe_is_allocation_free() {
 /// warm-up and are reused byte-for-byte afterwards.
 #[test]
 fn warm_traced_flood_is_allocation_free_and_deterministic() {
+    let _serial = serial();
     let g = generators::sparse_connected(600, 900, 42);
     let source_sets: Vec<Vec<NodeId>> = [3usize, 0, 2, 1]
         .into_iter()
@@ -171,6 +187,7 @@ fn warm_traced_flood_is_allocation_free_and_deterministic() {
 
 #[test]
 fn warm_bitlane_batch_is_allocation_free_across_mixed_set_sizes() {
+    let _serial = serial();
     let g = generators::sparse_connected(600, 900, 42);
 
     // 70 mixed-size sets: more than one 64-lane word, so the second pass
@@ -207,4 +224,63 @@ fn warm_bitlane_batch_is_allocation_free_across_mixed_set_sizes() {
     let mut frontier = FloodBatch::new(&g);
     let reference: Vec<_> = frontier.run_many(&source_sets);
     assert_eq!(expected, reference);
+}
+
+/// Runs `sets` through a warm auto batch twice and returns the second
+/// pass's allocation count, after checking both passes against the
+/// frontier engine. Also returns the `(frontier, bitlane)` flood starts
+/// of one pass.
+fn warm_auto_allocations(g: &Graph, sets: &[Vec<NodeId>]) -> (u64, (usize, usize)) {
+    let starts = Rc::new(RefCell::new(EngineStarts::default()));
+    let mut batch = FloodBatch::new(g);
+    batch.set_probe(Some(starts.clone()));
+    let mut expected = Vec::with_capacity(sets.len());
+    batch.run_many_into(sets, &mut expected);
+    let one_pass = {
+        let s = starts.borrow();
+        (s.frontier, s.bitlane)
+    };
+
+    let mut got = Vec::with_capacity(sets.len());
+    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    batch.run_many_into(sets, &mut got);
+    let delta = ALLOCATIONS.load(Ordering::SeqCst) - before;
+
+    assert_eq!(got, expected, "reused auto batch diverged from warm-up");
+    let reference = FloodBatch::with_engine(g, FloodEngine::Frontier).run_many(sets);
+    assert_eq!(expected, reference, "auto batch disagrees with frontier");
+    (delta, one_pass)
+}
+
+#[test]
+fn warm_auto_batch_is_allocation_free_in_both_branches() {
+    let _serial = serial();
+
+    // Packed: 70 single sources on a sparse random graph, whose wide,
+    // overlapping wavefronts put set 0's arc occupancy far above 1/2 —
+    // set 0 on frontier, then a 64-lane and a 5-lane bitlane run.
+    let g = generators::sparse_connected(600, 900, 42);
+    let sets: Vec<Vec<NodeId>> = (0..70).map(|i| vec![NodeId::new(i * 7)]).collect();
+    let (delta, starts) = warm_auto_allocations(&g, &sets);
+    assert_eq!(starts, (1, 2), "sparse random batch must pack");
+    assert_eq!(delta, 0, "warm packed auto batch allocated {delta} times");
+
+    // Sequential: on a long path every wavefront is one arc wide, so the
+    // batch stays on frontier flood by flood.
+    let g = generators::path(600);
+    let sets: Vec<Vec<NodeId>> = (0..70).map(|i| vec![NodeId::new(i * 7)]).collect();
+    let (delta, starts) = warm_auto_allocations(&g, &sets);
+    assert_eq!(starts, (70, 0), "path batch must stay on frontier");
+    assert_eq!(
+        delta, 0,
+        "warm sequential auto batch allocated {delta} times"
+    );
+
+    // A lone flood of an odd round count: a star flooded from its centre
+    // sends on every arc in round 1 and terminates. The warm repeat must
+    // start on the buffer that already holds that round.
+    let g = generators::star(40);
+    let (delta, starts) = warm_auto_allocations(&g, &[vec![NodeId::new(0)]]);
+    assert_eq!(starts, (1, 0));
+    assert_eq!(delta, 0, "warm odd-round flood allocated {delta} times");
 }

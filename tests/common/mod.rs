@@ -2,6 +2,7 @@
 //! test crate; this directory module is compiled into both, so the
 //! source-set ladder is defined exactly once).
 
+use amnesiac_flooding::core::obs::{FloodProbe, FloodStart};
 use amnesiac_flooding::graph::NodeId;
 
 /// A deterministic source set for a graph with `n` nodes. `selector`
@@ -28,4 +29,24 @@ pub fn source_set_for(n: usize, selector: usize, seed: u64) -> Vec<NodeId> {
         }
     }
     set
+}
+
+/// Counts flood starts per engine: which simulator ran each flood of a
+/// batch. An `auto` batch announces its first flood and every sequential
+/// flood as `frontier`, and every packed chunk as `bitlane`.
+#[allow(dead_code)] // only the suites that pin auto's branch build one
+#[derive(Debug, Default)]
+pub struct EngineStarts {
+    pub frontier: usize,
+    pub bitlane: usize,
+}
+
+impl FloodProbe for EngineStarts {
+    fn flood_started(&mut self, start: &FloodStart<'_>) {
+        match start.engine {
+            "frontier" => self.frontier += 1,
+            "bitlane" => self.bitlane += 1,
+            other => panic!("auto ran on {other}"),
+        }
+    }
 }

@@ -44,6 +44,7 @@ fn engine_strategy() -> impl Strategy<Value = FloodEngine> {
         }),
     ];
     prop_oneof![
+        Just(FloodEngine::Auto),
         Just(FloodEngine::Frontier),
         Just(FloodEngine::Fast),
         Just(FloodEngine::BitLane),
@@ -87,6 +88,7 @@ fn shorthands_normalize_onto_fixed_points() {
         ("sharded", "sharded:4:bfs"),
         ("sharded:2", "sharded:2:bfs"),
         ("dynamic", "dynamic:none"),
+        ("auto", "auto"),
         ("frontier", "frontier"),
         ("fast", "fast"),
         ("bitlane", "bitlane"),
